@@ -1,6 +1,7 @@
 package dynplan
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -52,10 +53,11 @@ func TestExecuteAdaptiveAPI(t *testing.T) {
 		Selectivities: map[string]float64{"v1": 0.02, "v2": 0.02, "v3": 0.02},
 		MemoryPages:   64,
 	}
-	res, err := db.ExecuteAdaptive(dyn, b)
+	out, err := db.Exec(context.Background(), dyn, b, ExecOptions{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Adaptive
 	if res.Materialized != 3 {
 		t.Errorf("materialized %d subplans, want 3", res.Materialized)
 	}
@@ -83,7 +85,7 @@ func TestExecuteAdaptiveAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := db.ExecuteActivation(act, b)
+	plain, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestExecuteAdaptiveUnboundVariable(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecuteAdaptive(dyn, Bindings{MemoryPages: 64}); err == nil {
+	if _, err := db.Exec(context.Background(), dyn, Bindings{MemoryPages: 64}, ExecOptions{Adaptive: true}); err == nil {
 		t.Error("unbound variables accepted")
 	}
 }

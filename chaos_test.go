@@ -71,7 +71,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	var queries []harness.ChaosQuery
 	for _, m := range mixes {
-		ref, err := db.ExecuteResilient(context.Background(), mod, resilBindings(3, m.sel, m.mem), RetryPolicy{})
+		ref, err := db.Exec(context.Background(), mod, resilBindings(3, m.sel, m.mem), ExecOptions{Resilient: true})
 		if err != nil {
 			t.Fatalf("%s: reference run failed: %v", m.name, err)
 		}
@@ -80,7 +80,7 @@ func TestChaosSoak(t *testing.T) {
 			Name:      m.name,
 			Reference: strings.Join(canonical(ref), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {
-				res, err := db.ExecuteGoverned(ctx, mod, resilBindings(3, m.sel, m.mem), pol(seed))
+				res, err := db.Exec(ctx, mod, resilBindings(3, m.sel, m.mem), ExecOptions{Governed: true, Resilient: true, Policy: pol(seed)})
 				if err != nil {
 					return "", err
 				}
@@ -207,7 +207,7 @@ func TestChaosSoakSheds(t *testing.T) {
 	db := resilDatabase(t, sys)
 
 	b := resilBindings(2, 0.5, 64)
-	ref, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{})
+	ref, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +233,12 @@ func TestChaosSoakSheds(t *testing.T) {
 			Name:      "squeezed",
 			Reference: strings.Join(canonical(ref), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {
-				res, err := db.ExecuteGoverned(ctx, mod, b, RetryPolicy{
+				res, err := db.Exec(ctx, mod, b, ExecOptions{Governed: true, Resilient: true, Policy: RetryPolicy{
 					MaxAttempts: 60,
 					Backoff:     2 * time.Millisecond,
 					MaxBackoff:  4 * time.Millisecond,
 					JitterSeed:  seed,
-				})
+				}})
 				if err != nil {
 					return "", err
 				}
@@ -337,7 +337,7 @@ func TestChaosSoakReopt(t *testing.T) {
 			Name:      "replan-mix",
 			Reference: strings.Join(canonical(refPlan), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {
-				// The plain stack has no Retry stage, so this mix retries
+				// Without Resilient the Retry stage is skipped, so this mix retries
 				// transient faults itself — they heal after a bounded number
 				// of touches. Each attempt still re-plans from scratch.
 				for {

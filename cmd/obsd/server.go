@@ -89,6 +89,8 @@ func (s *queryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	res, err := p.Exec(r.Context(), b, dynplan.ExecOptions{Governed: true, Tenant: tenant})
 	if err != nil {
 		switch {
+		case errors.Is(err, dynplan.ErrInvalidBindings):
+			httpError(w, http.StatusBadRequest, err)
 		case errors.Is(err, dynplan.ErrAdmission):
 			httpError(w, http.StatusTooManyRequests, err)
 		case errors.Is(err, r.Context().Err()):

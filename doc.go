@@ -34,6 +34,25 @@
 //	})
 //	fmt.Println(act.Explain()) // an index scan: few rows qualify
 //
+// # Execution
+//
+// Database.Exec is the one execution entry point. It runs a *Plan,
+// *Module, *Activation, or resolved plan node under the bindings through
+// one stack of pipeline stages — Record, Admit, Grant, Breaker, Retry,
+// Degrade, Reopt, Activate, Run — and ExecOptions switch the optional
+// stages on:
+//
+//	db := sys.OpenDatabase()
+//	// ... load rows (Insert or GenerateData), then BuildIndexes ...
+//	res, err := db.Exec(ctx, mod, bindings, dynplan.ExecOptions{
+//		Governed:  true, // admission control and a memory grant (SetGovernor)
+//		Resilient: true, // fall back onto surviving alternatives on failure
+//	})
+//
+// Bindings outside their domain fail with ErrInvalidBindings, and
+// options that do not fit the target fail with ErrPipeline, before any
+// stage runs.
+//
 // See the examples directory for runnable programs: quickstart (the
 // paper's Figure 1 scenario), embeddedquery (Figure 2: hash-join
 // build-side switching), memorypressure (uncertain memory), shrinking

@@ -1,6 +1,7 @@
 package dynplan
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestEmptyRelation(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecuteActivation(act, b)
+	res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSingleRowRelations(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecutePlan(static, Bindings{MemoryPages: 64})
+	res, err := db.Exec(context.Background(), static, Bindings{MemoryPages: 64}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestExtremeSelectivities(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sel=%g: %v", sel, err)
 		}
-		res, err := db.ExecuteActivation(act, b)
+		res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 		if err != nil {
 			t.Fatalf("sel=%g: %v", sel, err)
 		}
@@ -178,7 +179,7 @@ func TestExtremeMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mem=%g: %v", mem, err)
 		}
-		res, err := db.ExecuteActivation(act, b)
+		res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 		if err != nil {
 			t.Fatalf("mem=%g: %v", mem, err)
 		}
@@ -254,7 +255,7 @@ func TestTenWayJoinEndToEnd(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecuteActivation(act, b)
+	res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

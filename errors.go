@@ -5,8 +5,8 @@ import "dynplan/internal/qerr"
 // Typed execution errors. Every mid-query failure the engine produces
 // wraps exactly one of these sentinels (match with errors.Is), so callers
 // can distinguish cancellation from retryable resource failures from
-// unrecoverable faults. The retrying fallback executor (ExecuteResilient)
-// consumes the same taxonomy.
+// unrecoverable faults. The retrying fallback executor
+// (ExecOptions.Resilient) consumes the same taxonomy.
 var (
 	// ErrCanceled reports that the caller's context was canceled
 	// mid-query; the error also wraps context.Canceled.

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -79,7 +80,7 @@ func main() {
 	}
 	fmt.Printf("start-up choice (claims selectivity 0.02, predicts %.4gs):\n%s\n",
 		act.PredictedCost(), act.Explain())
-	resS, err := db.ExecuteActivation(act, b)
+	resS, err := db.Exec(context.Background(), act, b, dynplan.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,10 +88,11 @@ func main() {
 		len(resS.Rows), resS.SimulatedSeconds(params), resS.RandPageReads, resS.SeqPageReads)
 
 	// Run-time decisions observe before deciding.
-	resA, err := db.ExecuteAdaptive(dyn, b)
+	out, err := db.Exec(context.Background(), dyn, b, dynplan.ExecOptions{Adaptive: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	resA := out.Adaptive
 	fmt.Printf("adaptive run: %d subplans materialized, observed selectivities %v\n",
 		resA.Materialized, resA.ObservedSelectivities)
 	fmt.Printf("final plan (decided with observed cardinalities):\n%s\n", resA.Chosen.Format())

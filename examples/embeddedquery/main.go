@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,7 @@ func main() {
 			sel, act.Decisions(), act.PredictedCost())
 		fmt.Print(act.Explain())
 
-		res, err := db.ExecuteActivation(act, b)
+		res, err := db.Exec(context.Background(), act, b, dynplan.ExecOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,12 +1,11 @@
 package dynplan
 
-// The public execution API. Every entry point — the historical Execute*
-// family and the unified Exec — is a thin façade over the execution
-// pipeline (pipeline.go): it classifies the query target, selects one of
-// the Database's pre-compiled stage stacks, and runs it. No execution
-// logic lives here, and the CI lint gate forbids Execute* methods
-// anywhere else, so a new execution feature must be a pipeline stage —
-// one seam, every path.
+// The public execution API: Exec is the one entry point. It classifies
+// the query target, checks that the options fit it, and runs the one
+// stage stack of the execution pipeline (pipeline.go), whose stages
+// switch on from the options. No execution logic lives here, and the CI
+// lint gate forbids any Database.Execute* method, so a new execution
+// feature must be a pipeline stage — one seam, every path.
 
 import (
 	"context"
@@ -17,18 +16,48 @@ import (
 	"dynplan/internal/plancache"
 )
 
-// ExecOptions select the stage stack a query runs through. The zero value
-// executes the target directly: resolved plans run as-is, modules are
-// activated once.
+// ExecOptions select the pipeline stages a query runs through. The zero
+// value executes the target directly: resolved plans run as-is, modules
+// are activated once.
 type ExecOptions struct {
 	// Governed routes the query through admission control and the memory
-	// grant broker (SetGovernor); the grant, not the bindings' request,
-	// feeds choose-plan resolution. Without an installed governor the
-	// admission stages pass through unchanged.
+	// grant broker (SetGovernor): the query waits for an execution slot
+	// (bounded queue, load shedding with ErrAdmission), receives a memory
+	// grant the broker may degrade below b.MemoryPages — the grant, not
+	// the caller's number, feeds choose-plan resolution, so start-up
+	// processing picks low-memory branches under pressure — runs under
+	// the governor's per-query deadline, and releases its grant on every
+	// exit path. The result's Admission field reports the negotiation.
+	// Without an installed governor the admission stages pass through
+	// unchanged.
 	Governed bool
-	// Resilient enables the retrying fallback executor: failed attempts
-	// are classified, poisoned branches excluded, the module re-activated
-	// onto surviving alternatives under Policy's backoff. Requires a
+	// Resilient enables the retrying fallback executor — the run-time
+	// payoff of carrying alternatives in the plan. Each attempt activates
+	// the module and executes the chosen plan; when it fails, the
+	// failure's classification decides the recovery:
+	//
+	//   - ErrTransientIO: the same plan is retried — transient faults heal
+	//     after a bounded number of touches, so each retry makes progress.
+	//   - ErrInsufficientMemory: the memory grant is downgraded to what is
+	//     actually available, the branches the failed attempt picked are
+	//     excluded, and activation re-resolves the choose-plans for the
+	//     reduced memory.
+	//   - Permanent faults and operator panics: the picked branches are
+	//     excluded so re-activation steers onto sibling alternatives; with
+	//     none left the failure is final. An installed circuit breaker
+	//     (SetGovernor) is charged with the relation the fault was raised
+	//     at, and relations whose circuits are open are excluded up front —
+	//     if that leaves no feasible plan the query fails fast with
+	//     ErrCircuitOpen.
+	//   - ErrCanceled / ErrDeadlineExceeded: never retried.
+	//
+	// When the exclusions leave no feasible plan they are forgiven, since
+	// a transiently-poisoned branch may have healed. Every alternative
+	// computes the same result (the choose-plan invariant), so a fallback
+	// success returns exactly the fault-free rows. Retries pause under
+	// Policy's capped exponential backoff with deterministic jitter; the
+	// result's Retries, BranchSwitched, FaultsAbsorbed, Backoffs, and
+	// EffectiveMemoryPages report what the execution absorbed. Requires a
 	// *Module target — fallback needs alternatives to steer onto.
 	Resilient bool
 	// Policy bounds the Resilient retry loop; the zero value selects the
@@ -37,8 +66,9 @@ type ExecOptions struct {
 	// Adaptive runs a *Plan with run-time choose-plan decisions (§7):
 	// base-relation subplans materialize first, observed cardinalities
 	// correct the estimates, and only then do the remaining choose-plans
-	// resolve. The result's Adaptive field carries the account. Mutually
-	// exclusive with Governed and Resilient.
+	// resolve. The result's Adaptive field carries the account, with the
+	// materialization I/O charged to it. Mutually exclusive with Governed
+	// and Resilient.
 	Adaptive bool
 	// Reopt enables mid-query re-optimization: cardinality guards at
 	// materialization points, safe plan switching / re-planning on a
@@ -106,24 +136,40 @@ type DegradePolicy struct {
 	MinDOP int
 }
 
-// Exec is the single execution entry point behind every Execute* façade:
-// it runs query q — a *Plan, *Module, *Activation, or resolved plan node
-// — under the bindings, through the stage stack the options select.
-// Incompatible combinations (a Resilient non-module, an Adaptive
-// non-plan) fail fast with an error wrapping ErrPipeline.
+// Exec is the single execution entry point: it runs query q — a *Plan,
+// *Module, *Activation, or resolved plan node — under the bindings,
+// through the pipeline stages the options switch on. Once the context is
+// canceled or its deadline passes, execution stops within a bounded
+// number of operator calls with an error wrapping ErrCanceled or
+// ErrDeadlineExceeded. Bindings outside their domain fail with
+// ErrInvalidBindings before any stage runs; incompatible combinations (a
+// Resilient non-module, an Adaptive non-plan) fail fast with an error
+// wrapping ErrPipeline.
 func (db *Database) Exec(ctx context.Context, q any, b Bindings, o ExecOptions) (*ExecResult, error) {
-	st := &execState{db: db, b: b, mem: b.MemoryPages, pol: o.Policy, run: runStatic,
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
+	st := &execState{db: db, b: b, mem: b.MemoryPages, run: runStatic,
+		pol: o.Policy, reopt: o.Reopt,
 		par: o.Parallel, maxDOP: o.MaxDOP, wpol: o.WorkerRetry, deg: o.Degrade,
 		traceOn: o.Trace, tenant: o.Tenant, cacheKey: o.cacheKey, cacheHit: o.cacheHit}
-	adaptiveTarget := false
+	if o.Governed {
+		st.on |= onGoverned
+	}
+	if o.Resilient {
+		st.on |= onResilient
+	}
+	if o.Reopt != nil {
+		st.on |= onReopt
+	}
 	switch t := q.(type) {
 	case *Module:
 		st.module = t
+		st.on |= onModule
 	case *Plan:
 		if o.Adaptive {
 			st.root = t.Root()
 			st.run = runAdaptive
-			adaptiveTarget = true
 			break
 		}
 		if t.IsDynamic() {
@@ -141,7 +187,7 @@ func (db *Database) Exec(ctx context.Context, q any, b Bindings, o ExecOptions) 
 		return nil, &PipelineError{Reason: fmt.Sprintf("cannot execute a %T; pass a *Plan, *Module, *Activation, or a resolved plan node", q)}
 	}
 	if o.Adaptive {
-		if !adaptiveTarget {
+		if _, ok := q.(*Plan); !ok {
 			return nil, &PipelineError{Reason: fmt.Sprintf("the Adaptive option requires a *Plan, not a %T", q)}
 		}
 		if o.Governed || o.Resilient {
@@ -153,163 +199,9 @@ func (db *Database) Exec(ctx context.Context, q any, b Bindings, o ExecOptions) 
 		if o.Parallel {
 			return nil, &PipelineError{Reason: "the Adaptive option excludes Parallel; run-time decisions materialize serially by design"}
 		}
-		return db.pipes.plain.exec(ctx, st)
 	}
-	st.reopt = o.Reopt
-
-	var stack *pipeline
-	if st.module != nil {
-		switch {
-		case o.Governed && o.Resilient && o.Reopt != nil:
-			stack = db.pipes.governedReopt
-		case o.Governed && o.Resilient:
-			stack = db.pipes.governed
-		case o.Resilient && o.Reopt != nil:
-			stack = db.pipes.resilientReopt
-		case o.Resilient:
-			stack = db.pipes.resilient
-		case o.Governed && o.Reopt != nil:
-			stack = db.pipes.governedActivateReopt
-		case o.Governed:
-			stack = db.pipes.governedActivate
-		case o.Reopt != nil:
-			stack = db.pipes.activateReopt
-		default:
-			stack = db.pipes.activate
-		}
-	} else {
-		if o.Resilient {
-			return nil, &PipelineError{Reason: fmt.Sprintf("the Resilient option requires a *Module, not a %T; fallback needs alternatives to steer onto", q)}
-		}
-		switch {
-		case o.Governed && o.Reopt != nil:
-			stack = db.pipes.governedPlainReopt
-		case o.Governed:
-			stack = db.pipes.governedPlain
-		case o.Reopt != nil:
-			stack = db.pipes.plainReopt
-		default:
-			stack = db.pipes.plain
-		}
+	if o.Resilient && st.module == nil {
+		return nil, &PipelineError{Reason: fmt.Sprintf("the Resilient option requires a *Module, not a %T; fallback needs alternatives to steer onto", q)}
 	}
-	return stack.exec(ctx, st)
-}
-
-// Execute runs a resolved plan (a static plan, or the Chosen plan of an
-// Activation) under the bindings.
-func (db *Database) Execute(root *physical.Node, b Bindings) (*ExecResult, error) {
-	return db.Exec(context.Background(), root, b, ExecOptions{})
-}
-
-// ExecuteContext is Execute with a context: once the context is canceled
-// or its deadline passes, execution stops within a bounded number of
-// operator calls with an error wrapping ErrCanceled or
-// ErrDeadlineExceeded. When a fault injector is installed (InjectFaults),
-// base-table page reads run through it.
-func (db *Database) ExecuteContext(ctx context.Context, root *physical.Node, b Bindings) (*ExecResult, error) {
-	return db.Exec(ctx, root, b, ExecOptions{})
-}
-
-// ExecutePlan runs a static Plan directly.
-func (db *Database) ExecutePlan(p *Plan, b Bindings) (*ExecResult, error) {
-	return db.Exec(context.Background(), p, b, ExecOptions{})
-}
-
-// ExecutePlanContext is ExecutePlan with a context.
-func (db *Database) ExecutePlanContext(ctx context.Context, p *Plan, b Bindings) (*ExecResult, error) {
-	return db.Exec(ctx, p, b, ExecOptions{})
-}
-
-// ExecuteActivation runs the plan an activation chose.
-func (db *Database) ExecuteActivation(a *Activation, b Bindings) (*ExecResult, error) {
-	return db.Exec(context.Background(), a, b, ExecOptions{})
-}
-
-// ExecuteActivationContext is ExecuteActivation with a context.
-func (db *Database) ExecuteActivationContext(ctx context.Context, a *Activation, b Bindings) (*ExecResult, error) {
-	return db.Exec(ctx, a, b, ExecOptions{})
-}
-
-// ExecuteResilient activates and executes an access module with fallback
-// on mid-query failure — the run-time payoff of carrying alternatives in
-// the plan. Each attempt activates the module (resolving its choose-plan
-// operators) and executes the chosen plan; when the attempt fails, the
-// failure's classification decides the recovery:
-//
-//   - ErrTransientIO: the same plan is retried — transient faults heal
-//     after a bounded number of touches, so each retry makes progress.
-//   - ErrInsufficientMemory: the memory grant is downgraded to what is
-//     actually available (absorbing the injector's shrink event, or
-//     applying MemoryDowngrade), the branches the failed attempt had
-//     picked are excluded, and activation re-resolves the choose-plans —
-//     selecting the best alternative branch for the reduced memory.
-//   - Permanent faults and operator panics: the picked branches are
-//     excluded so re-activation steers onto sibling alternatives that may
-//     avoid the poisoned access path; with no alternatives left the
-//     failure is final. When a circuit breaker is installed (SetGovernor),
-//     the fault is also charged to the relation it was raised at.
-//   - ErrCanceled / ErrDeadlineExceeded: never retried.
-//
-// Retries pause under capped exponential backoff with deterministic
-// jitter (RetryPolicy.Backoff/MaxBackoff/JitterSeed); each pause is
-// recorded in the result's Backoffs and in the decision trace.
-//
-// When a per-relation circuit breaker is installed, relations whose
-// circuits are open are excluded from activation up front; if that leaves
-// no feasible plan the execution fails fast with ErrCircuitOpen rather
-// than re-probing a poisoned access path.
-//
-// When excluding failed branches leaves no feasible plan, the exclusions
-// are forgiven (the module's full choice set is restored) rather than
-// giving up — a transiently-poisoned branch may have healed. Every chosen
-// alternative computes the same result (the choose-plan invariant), so a
-// fallback success returns exactly the rows the fault-free execution
-// would have.
-//
-// The result's Retries, BranchSwitched, FaultsAbsorbed, Backoffs, and
-// EffectiveMemoryPages fields report what the execution absorbed.
-func (db *Database) ExecuteResilient(ctx context.Context, m *Module, b Bindings, pol RetryPolicy) (*ExecResult, error) {
-	return db.Exec(ctx, m, b, ExecOptions{Resilient: true, Policy: pol})
-}
-
-// ExecuteGoverned is ExecuteResilient behind the resource governor: the
-// query waits for admission (bounded queue, load shedding with
-// ErrAdmission), receives a memory grant the broker may degrade below
-// b.MemoryPages — the grant, not the caller's number, feeds start-up
-// processing, so choose-plan resolution picks low-memory branches under
-// pressure — runs under the governor's per-query deadline, and releases
-// its grant on every exit path. The result's Admission field reports the
-// negotiation. Without an installed governor the admission stages pass
-// through and it behaves as ExecuteResilient unchanged.
-func (db *Database) ExecuteGoverned(ctx context.Context, m *Module, b Bindings, pol RetryPolicy) (*ExecResult, error) {
-	return db.Exec(ctx, m, b, ExecOptions{Governed: true, Resilient: true, Policy: pol})
-}
-
-// ExecuteAdaptive runs a dynamic plan with run-time choose-plan decisions
-// — the §7 extension of the paper. Instead of trusting the bound
-// selectivities, decision procedures *evaluate subplans*: each base
-// relation's access path is materialized into a temporary, its observed
-// cardinality corrects the estimates, and only then are the remaining
-// choose-plan operators (join orders, algorithms, build sides) decided.
-// This makes the execution robust to selectivity estimation error at the
-// price of materialization I/O, which is charged to the result's
-// account.
-//
-// The plan must be dynamic (contain choose-plan operators) or at least a
-// valid plan DAG; bindings must cover every host variable.
-func (db *Database) ExecuteAdaptive(p *Plan, b Bindings) (*AdaptiveResult, error) {
-	return db.ExecuteAdaptiveContext(context.Background(), p, b)
-}
-
-// ExecuteAdaptiveContext is ExecuteAdaptive with a context: cancellation
-// and deadline expiry stop both the materializations and the final plan
-// within a bounded number of operator calls. An installed fault injector
-// (InjectFaults) applies to base-table reads; in-memory temporaries are
-// exempt.
-func (db *Database) ExecuteAdaptiveContext(ctx context.Context, p *Plan, b Bindings) (*AdaptiveResult, error) {
-	res, err := db.Exec(ctx, p, b, ExecOptions{Adaptive: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Adaptive, nil
+	return st.exec(ctx)
 }

@@ -27,17 +27,16 @@ import (
 // folds its I/O account into the parent's shared atomic accountant one
 // batch at a time — so the execution's totals equal the serial totals
 // exactly, and the progress watchdog polling the shared accountant sees
-// parallel work advance. Collectors, buffer pools, and guard hooks are
-// deliberately not shared: obs.Counters and storage.BufferPool are
-// single-threaded by design, so worker subtrees run unmetered and
-// unpooled, and the exchange reports per-worker tallies itself
+// parallel work advance. Collectors and guard hooks are deliberately not
+// shared: obs.Counters is single-threaded by design, so worker subtrees
+// run unmetered, and the exchange reports per-worker tallies itself
 // (obs.ExchangeStats).
 
 // workerClone returns a shallow copy of the DB for one worker goroutine:
 // shared immutable state (catalog, store, indexes, temps, fault injector,
 // context), a private accountant and poll counter, and none of the
-// single-threaded hooks (collector, leak-check wrap, buffer pool,
-// materialization guards).
+// single-threaded hooks (collector, leak-check wrap, materialization
+// guards).
 func (db *DB) workerClone() *DB {
 	return &DB{
 		Catalog:  db.Catalog,

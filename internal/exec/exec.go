@@ -54,14 +54,12 @@ type Iterator interface {
 }
 
 // DB bundles everything an execution needs: catalog for domain lookups,
-// the simulated store, the B-tree indexes, an I/O accountant, and an
-// optional buffer pool for unclustered fetches.
+// the simulated store, the B-tree indexes, and an I/O accountant.
 type DB struct {
 	Catalog *catalog.Catalog
 	Store   *storage.Store
 	Indexes map[string]map[string]*btree.Tree
 	Acc     *storage.Accountant
-	Pool    *storage.BufferPool
 	// Temps holds run-time materialized results, keyed by temporary name
 	// (see Temp and the adaptive executor).
 	Temps map[string]*Temp
@@ -180,7 +178,7 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 
 // fetch retrieves a record by RID with accounting and fault injection.
 func (db *DB) fetch(t *storage.Table, rid storage.RID) (storage.Row, error) {
-	return t.FetchThrough(rid, db.Acc, db.Pool, db.Faults)
+	return t.FetchThrough(rid, db.Acc, db.Faults)
 }
 
 // memoryPages returns the run-time memory grant in pages, reduced by the

@@ -225,7 +225,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 }
 
-// QuerySample is the per-query tally the outermost Execute* path records
+// QuerySample is the per-query tally the pipeline's outermost stage records
 // into the registry when the observatory is enabled.
 type QuerySample struct {
 	WallNanos      int64
@@ -255,7 +255,7 @@ type OpAggregate struct {
 // observatory is a nil *Registry: every method no-ops on nil, so the
 // disabled per-query overhead is one pointer comparison.
 type Registry struct {
-	// Queries counts completed top-level Execute* calls (one per query,
+	// Queries counts completed top-level Exec calls (one per query,
 	// however many attempts the resilient executor needed); Executions
 	// counts individual plan executions including retries.
 	Queries    Counter

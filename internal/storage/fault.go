@@ -269,8 +269,8 @@ func (f *Injector) Reset() {
 
 // FetchThrough is Fetch routed through an optional fault injector: the
 // record access is charged as usual, then the injector may fail the read.
-func (t *Table) FetchThrough(rid RID, acc *Accountant, pool *BufferPool, f *Injector) (Row, error) {
-	row, err := t.Fetch(rid, acc, pool)
+func (t *Table) FetchThrough(rid RID, acc *Accountant, f *Injector) (Row, error) {
+	row, err := t.Fetch(rid, acc)
 	if err != nil {
 		return nil, err
 	}

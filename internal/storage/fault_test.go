@@ -130,18 +130,18 @@ func TestFetchThrough(t *testing.T) {
 	rid := tab.Append(Row{1, 2})
 	acc := &Accountant{}
 	f := NewInjector(FaultConfig{Seed: 1, TransientRate: 1})
-	if _, err := tab.FetchThrough(rid, acc, nil, f); !errors.Is(err, qerr.ErrTransientIO) {
+	if _, err := tab.FetchThrough(rid, acc, f); !errors.Is(err, qerr.ErrTransientIO) {
 		t.Fatalf("want injected fault, got %v", err)
 	}
-	row, err := tab.FetchThrough(rid, acc, nil, f) // healed
+	row, err := tab.FetchThrough(rid, acc, f) // healed
 	if err != nil || row[0] != 1 {
 		t.Fatalf("healed fetch: %v %v", row, err)
 	}
-	if _, err := tab.FetchThrough(rid, acc, nil, nil); err != nil {
+	if _, err := tab.FetchThrough(rid, acc, nil); err != nil {
 		t.Fatalf("nil injector fetch: %v", err)
 	}
 	// Invalid RID surfaces the storage error, not an injected one.
-	if _, err := tab.FetchThrough(RID{Page: 99}, acc, nil, f); err == nil || errors.Is(err, qerr.ErrFaultInjected) {
+	if _, err := tab.FetchThrough(RID{Page: 99}, acc, f); err == nil || errors.Is(err, qerr.ErrFaultInjected) {
 		t.Errorf("invalid rid error mangled: %v", err)
 	}
 }

@@ -182,21 +182,14 @@ func (t *Table) Get(rid RID) (Row, error) {
 }
 
 // Fetch retrieves the record at rid, charging one random page read to the
-// accountant (or a buffer-pool hit if a pool is supplied). This models
-// unclustered index access: one I/O per qualifying record, the paper's
-// B-tree-scan cost model.
-func (t *Table) Fetch(rid RID, acc *Accountant, pool *BufferPool) (Row, error) {
+// accountant. This models unclustered index access: one I/O per
+// qualifying record, the paper's B-tree-scan cost model.
+func (t *Table) Fetch(rid RID, acc *Accountant) (Row, error) {
 	row, err := t.Get(rid)
 	if err != nil {
 		return nil, err
 	}
-	if pool != nil {
-		if !pool.Touch(t.name, rid.Page) {
-			acc.ReadRand(1)
-		}
-	} else {
-		acc.ReadRand(1)
-	}
+	acc.ReadRand(1)
 	return row, nil
 }
 

@@ -80,7 +80,7 @@ func TestFetchChargesRandomReads(t *testing.T) {
 	tab := NewTable("R", 512)
 	fill(tab, 10)
 	var acc Accountant
-	row, err := tab.Fetch(RID{Page: 1, Slot: 0}, &acc, nil)
+	row, err := tab.Fetch(RID{Page: 1, Slot: 0}, &acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,27 +90,8 @@ func TestFetchChargesRandomReads(t *testing.T) {
 	if acc.RandPageReads() != 1 {
 		t.Errorf("RandPageReads = %d, want 1", acc.RandPageReads())
 	}
-	if _, err := tab.Fetch(RID{Page: 9, Slot: 0}, &acc, nil); err == nil {
+	if _, err := tab.Fetch(RID{Page: 9, Slot: 0}, &acc); err == nil {
 		t.Error("Fetch of invalid rid must fail")
-	}
-}
-
-func TestFetchThroughPool(t *testing.T) {
-	tab := NewTable("R", 512)
-	fill(tab, 10)
-	var acc Accountant
-	pool := NewBufferPool(2)
-	// Two fetches of the same page: second is a hit, no I/O charged.
-	for i := 0; i < 2; i++ {
-		if _, err := tab.Fetch(RID{Page: 0, Slot: 0}, &acc, pool); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if acc.RandPageReads() != 1 {
-		t.Errorf("RandPageReads through pool = %d, want 1", acc.RandPageReads())
-	}
-	if pool.Hits() != 1 || pool.Misses() != 1 {
-		t.Errorf("pool hits=%d misses=%d", pool.Hits(), pool.Misses())
 	}
 }
 

@@ -28,7 +28,7 @@ type (
 )
 
 // EnableObservatory turns on the workload observatory: a long-lived
-// metrics registry every subsequent Execute* call records into — query
+// metrics registry every subsequent Exec call records into — query
 // latency, queue wait, pages read, retries, sheds, and breaker trips as
 // log-bucketed histograms and counters, per-operator and per-relation
 // aggregates, a recent-query log, and the interval-calibration table

@@ -1,7 +1,9 @@
 package dynplan
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dynplan/internal/bindings"
@@ -204,6 +206,27 @@ type Bindings struct {
 	MemoryPages float64
 }
 
+// ErrInvalidBindings reports bindings no plan can be activated or run
+// under: a selectivity that is NaN or outside [0, 1], or a memory binding
+// that is NaN, infinite, or negative. Exec and the Module activation
+// methods reject them before any work starts — in particular before a
+// governed query draws a memory grant.
+var ErrInvalidBindings = errors.New("dynplan: invalid bindings")
+
+// validate checks the bindings against their domains; the error wraps
+// ErrInvalidBindings.
+func (b Bindings) validate() error {
+	if math.IsNaN(b.MemoryPages) || math.IsInf(b.MemoryPages, 0) || b.MemoryPages < 0 {
+		return fmt.Errorf("%w: memory binding %g pages is not a finite non-negative number", ErrInvalidBindings, b.MemoryPages)
+	}
+	for v, s := range b.Selectivities {
+		if !(s >= 0 && s <= 1) {
+			return fmt.Errorf("%w: selectivity %g for %q is outside [0, 1]", ErrInvalidBindings, s, v)
+		}
+	}
+	return nil
+}
+
 func (b Bindings) internal() *bindings.Bindings {
 	ib := bindings.NewBindings(b.MemoryPages)
 	for v, s := range b.Selectivities {
@@ -222,8 +245,20 @@ type Activation struct {
 // Activate performs start-up-time processing: bindings are instantiated,
 // choose-plan decision procedures run (each shared subplan's cost
 // evaluated once), and the cheapest alternative is selected.
+// Bindings outside their domain fail with ErrInvalidBindings.
 func (m *Module) Activate(b Bindings) (*Activation, error) {
-	rep, err := m.mod.Activate(b.internal(), plan.StartupOptions{Params: m.sys.params, Usage: m.stats})
+	return m.activate(b, plan.StartupOptions{})
+}
+
+// activate validates the bindings and runs start-up-time processing under
+// the module's parameters and usage statistics plus the given options.
+func (m *Module) activate(b Bindings, opts plan.StartupOptions) (*Activation, error) {
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
+	opts.Params = m.sys.params
+	opts.Usage = m.stats
+	rep, err := m.mod.Activate(b.internal(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -243,9 +278,7 @@ var ErrInfeasible = plan.ErrInfeasible
 // only access path vanished fails with ErrInfeasible and must be
 // re-optimized.
 func (m *Module) ActivateValidated(b Bindings) (*Activation, error) {
-	rep, err := m.mod.Activate(b.internal(), plan.StartupOptions{
-		Params: m.sys.params,
-		Usage:  m.stats,
+	return m.activate(b, plan.StartupOptions{
 		IndexExists: func(rel, attr string) bool {
 			r, err := m.sys.cat.Relation(rel)
 			if err != nil {
@@ -258,10 +291,6 @@ func (m *Module) ActivateValidated(b Bindings) (*Activation, error) {
 			return a.BTree
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Activation{sys: m.sys, report: rep}, nil
 }
 
 // DropIndex removes the B-tree on rel.attr from the catalog, simulating
@@ -300,11 +329,7 @@ func (s *System) CreateIndex(rel, attr string) error {
 // did not implement). The chosen plan is identical; fewer cost functions
 // are evaluated.
 func (m *Module) ActivateWithBranchAndBound(b Bindings) (*Activation, error) {
-	rep, err := m.mod.Activate(b.internal(), plan.StartupOptions{Params: m.sys.params, BranchAndBound: true, Usage: m.stats})
-	if err != nil {
-		return nil, err
-	}
-	return &Activation{sys: m.sys, report: rep}, nil
+	return m.activate(b, plan.StartupOptions{BranchAndBound: true})
 }
 
 // Explain renders the chosen plan.

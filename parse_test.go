@@ -1,6 +1,7 @@
 package dynplan
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -85,7 +86,7 @@ func TestParsedQueryExecutesWithProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecutePlan(p, Bindings{Selectivities: map[string]float64{"limit": 0.4}, MemoryPages: 64})
+	res, err := db.Exec(context.Background(), p, Bindings{Selectivities: map[string]float64{"limit": 0.4}, MemoryPages: 64}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package dynplan
 
-// The execution pipeline: every public Execute* façade routes through one
+// The execution pipeline: Database.Exec routes every query through one
 // stack of composable stages assembled here, so admission, memory grants,
 // breaker consultation, retry/backoff, choose-plan activation, execution,
 // and workload recording exist exactly once instead of being hand-wired
@@ -10,10 +10,21 @@ package dynplan
 // for.
 //
 // A stage is a middleware function over the shared per-query execState;
-// the innermost stage runs the resolved plan. Stacks are compiled once
-// per Database (OpenDatabase) and validated against the canonical order
+// the innermost stage runs the resolved plan. There is one stack, in the
+// canonical order
 //
 //	Record → Admit → Grant → Breaker → Retry → Degrade → Reopt → Activate → Run
+//
+// composed once, and each stage carries a predicate over execState: when
+// the query's options give a stage nothing to do, it is skipped — no
+// work, no span.
+//
+//	stage                  runs when
+//	Record, Degrade, Run   always
+//	Admit, Grant           ExecOptions.Governed
+//	Breaker, Retry         ExecOptions.Resilient
+//	Reopt                  ExecOptions.Reopt is set
+//	Activate               the target is a *Module
 //
 // Record is always the single outermost stage, which is what makes
 // exactly-one-recording per query structural: there is no inner layer
@@ -25,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"dynplan/internal/adaptive"
@@ -43,112 +53,25 @@ import (
 	"dynplan/internal/storage"
 )
 
-// stageKind identifies one composable stage of the execution pipeline.
-type stageKind int
-
-const (
-	// stageRecord is the single outermost stage: it measures the query's
-	// wall time and records exactly one query-level sample and run record
-	// into the workload observatory (sheds counted apart from errors).
-	stageRecord stageKind = iota
-	// stageAdmit claims an execution slot from the resource governor
-	// (bounded queue, load shedding with ErrAdmission); a no-op when no
-	// governor is installed.
-	stageAdmit
-	// stageGrant draws the admitted query's memory grant — possibly
-	// degraded below the request — and makes the grant, not the caller's
-	// number, the memory binding every downstream stage sees. It releases
-	// the ticket on every exit path and attaches AdmissionStats.
-	stageGrant
-	// stageBreaker snapshots which of the module's relations have open
-	// circuits, excluding them from the whole execution's choice set.
-	stageBreaker
-	// stageRetry is the retrying fallback executor: classify the failure,
-	// downgrade memory or exclude picked branches, back off, re-enter the
-	// Activate stage.
-	stageRetry
-	// stageDegrade is the graceful-degradation ladder for parallel
-	// execution: when a fault escalates past the per-worker retries inside
-	// the exchange operators, it caps the degree of parallelism (halving
-	// toward serial) and re-runs, instead of letting the whole-query
-	// remedies fire at full width. It sits below Retry — each whole-query
-	// attempt gets a fresh ladder — and above Reopt/Activate so a degraded
-	// re-run re-resolves the plan under the narrowed DOP. Pass-through for
-	// serial executions.
-	stageDegrade
-	// stageReopt is mid-query re-optimization: it arms cardinality guards
-	// and the progress watchdog over each execution attempt, and remedies
-	// guard violations by switching to a surviving choose-plan alternative,
-	// re-planning with the materialized temp as a base relation, or
-	// degrading to finishing the current plan when the budget is spent. It
-	// sits below Retry so a retry attempt gets a fresh re-opt budget, and
-	// above Activate so a switch re-enters start-up processing.
-	stageReopt
-	// stageActivate performs start-up-time processing: choose-plan
-	// resolution from the current grant and bindings, with avoid/blocked
-	// pruning and circuit-open fail-fast.
-	stageActivate
-	// stageRun executes the resolved plan through the Volcano engine (or
-	// the adaptive run-time decision procedures) and assembles the base
-	// ExecResult.
-	stageRun
-)
-
-// stageNames renders kinds in errors and tests.
-var stageNames = map[stageKind]string{
-	stageRecord:   "Record",
-	stageAdmit:    "Admit",
-	stageGrant:    "Grant",
-	stageBreaker:  "Breaker",
-	stageRetry:    "Retry",
-	stageDegrade:  "Degrade",
-	stageReopt:    "Reopt",
-	stageActivate: "Activate",
-	stageRun:      "Run",
-}
-
-func (k stageKind) String() string {
-	if n, ok := stageNames[k]; ok {
-		return n
-	}
-	return fmt.Sprintf("stage(%d)", int(k))
-}
-
-// ErrPipeline reports an invalid execution pipeline: a stage stack that
-// violates the canonical order or an Exec call whose options do not fit
-// its query target. Match it with errors.Is.
+// ErrPipeline reports an Exec call whose options do not fit its query
+// target or each other. Match it with errors.Is.
 var ErrPipeline = errors.New("dynplan: invalid execution pipeline")
 
-// PipelineError carries the offending stack and the rule it broke; it
-// unwraps to ErrPipeline.
+// PipelineError carries the rule an Exec call broke; it unwraps to
+// ErrPipeline.
 type PipelineError struct {
-	// Stack renders the stage stack ("Record→Retry→Run"); empty for
-	// target/option mismatches raised by Exec.
-	Stack string
 	// Reason is the violated rule.
 	Reason string
 }
 
 func (e *PipelineError) Error() string {
-	if e.Stack == "" {
-		return fmt.Sprintf("dynplan: invalid execution pipeline: %s", e.Reason)
-	}
-	return fmt.Sprintf("dynplan: invalid execution pipeline [%s]: %s", e.Stack, e.Reason)
+	return "dynplan: invalid execution pipeline: " + e.Reason
 }
 
 func (e *PipelineError) Unwrap() error { return ErrPipeline }
 
-// formatStack renders a stage stack for error messages.
-func formatStack(kinds []stageKind) string {
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = k.String()
-	}
-	return strings.Join(parts, "→")
-}
-
 // execState is one query's mutable state, threaded through every stage of
-// its stack. Exactly one of module (resolved per attempt by Activate) or
+// the stack. Exactly one of module (resolved per attempt by Activate) or
 // root (pre-resolved) identifies the plan; run executes it.
 type execState struct {
 	db *Database
@@ -169,7 +92,8 @@ type execState struct {
 	// Grant stage (the broker's grant) and the Retry stage (downgrades).
 	b   Bindings
 	mem float64
-	// pol bounds the Retry stage.
+	// on selects the optional stages that run; pol bounds the Retry stage.
+	on  stageSet
 	pol RetryPolicy
 	// run is the terminal executor (runStatic or runAdaptive).
 	run func(ctx context.Context, st *execState) (*ExecResult, error)
@@ -214,7 +138,7 @@ type execState struct {
 	backoffs   []time.Duration
 	retryTrace []obs.ChoiceTrace
 
-	// reopt enables the Reopt stage; rc is the stage's live controller
+	// reopt parameterizes the Reopt stage; rc is the stage's live controller
 	// (set for the duration of one reoptStage invocation, consumed by
 	// Activate for corrected bindings and by Run for guards and temps).
 	reopt *ReoptPolicy
@@ -264,124 +188,87 @@ type stageAbort struct{ err error }
 func (a *stageAbort) Error() string { return a.err.Error() }
 func (a *stageAbort) Unwrap() error { return a.err }
 
-// pipeline is a compiled, validated stage stack.
-type pipeline struct {
-	kinds []stageKind
-	fn    pipelineFunc
+// stageSet holds one bit per predicate of the table at the top of this
+// file; Exec sets execState.on from the query's options and target.
+type stageSet uint8
+
+const (
+	onGoverned  stageSet = 1 << iota // ExecOptions.Governed
+	onResilient                      // ExecOptions.Resilient
+	onReopt                          // ExecOptions.Reopt is set
+	onModule                         // the target is a *Module
+)
+
+// stage is one entry of the canonical stack: the name its span carries,
+// its implementation, and the predicate bits that must all be set for it
+// to run (none: always).
+type stage struct {
+	name string
+	fn   stageFunc
+	when stageSet
 }
 
-// compilePipeline validates the stack against the canonical stage order
-// and composes it into one call chain. Validation fails fast with a
-// *PipelineError (wrapping ErrPipeline):
-//
-//   - the stack must start with Record and end with Run (each exactly once),
-//   - stages must appear in canonical order, without duplicates,
-//   - Admit and Grant come as a pair,
-//   - Retry and Breaker require an Activate stage to steer.
-func compilePipeline(kinds ...stageKind) (*pipeline, error) {
-	bad := func(reason string) (*pipeline, error) {
-		return nil, &PipelineError{Stack: formatStack(kinds), Reason: reason}
-	}
-	if len(kinds) < 2 {
-		return bad("a pipeline needs at least the Record and Run stages")
-	}
-	seen := make(map[stageKind]bool, len(kinds))
-	for i, k := range kinds {
-		if _, ok := stageNames[k]; !ok {
-			return bad(fmt.Sprintf("unknown stage %v", k))
-		}
-		if seen[k] {
-			return bad(fmt.Sprintf("duplicate %v stage", k))
-		}
-		seen[k] = true
-		if i > 0 && kinds[i-1] >= k {
-			return bad(fmt.Sprintf("%v cannot follow %v (canonical order: %s)",
-				k, kinds[i-1], formatStack([]stageKind{stageRecord, stageAdmit, stageGrant, stageBreaker, stageRetry, stageDegrade, stageReopt, stageActivate, stageRun})))
-		}
-	}
-	if kinds[0] != stageRecord {
-		return bad("the Record stage must be outermost, so exactly one layer records each query")
-	}
-	if kinds[len(kinds)-1] != stageRun {
-		return bad("the Run stage must be innermost")
-	}
-	if seen[stageAdmit] != seen[stageGrant] {
-		return bad("Admit and Grant form a pair: a slot without a grant (or a grant without admission) leaks")
-	}
-	if seen[stageRetry] && !seen[stageActivate] {
-		return bad("Retry requires an Activate stage to re-resolve choose-plans onto surviving branches")
-	}
-	if seen[stageBreaker] && !seen[stageActivate] {
-		return bad("Breaker requires an Activate stage to exclude blocked relations")
-	}
-
-	// Each stage composes with a tracing decorator. The decorator's
-	// disabled branch is one pointer comparison and no calls, preserving
-	// the 0-allocs/op dispatch BenchmarkExecPipelineOverhead pins; the
-	// enabled branch opens one stage span, threads it through st.span as
-	// the parent for everything the stage does, and closes it on the way
-	// out — wrapper depth mirrors stack order, so a trace *is* the
-	// pipeline made visible.
-	fn := traceStage(stageRun.String(), nil, pipelineFunc(func(ctx context.Context, st *execState) (*ExecResult, error) {
-		return st.run(ctx, st)
-	}))
-	for i := len(kinds) - 2; i >= 0; i-- {
-		fn = traceStage(kinds[i].String(), stageOf(kinds[i]), fn)
-	}
-	return &pipeline{kinds: kinds, fn: fn}, nil
+// stages is the canonical stack, outermost first.
+var stages = [...]stage{
+	{"Record", recordStage, 0},
+	{"Admit", admitStage, onGoverned},
+	{"Grant", grantStage, onGoverned},
+	{"Breaker", breakerStage, onResilient},
+	{"Retry", retryStage, onResilient},
+	{"Degrade", degradeStage, 0},
+	{"Reopt", reoptStage, onReopt},
+	{"Activate", activateStage, onModule},
+	{"Run", runStage, 0},
 }
 
-// traceStage wraps one stage (or, with a nil stage, the terminal run
-// continuation) in its span decorator.
-func traceStage(name string, stage stageFunc, next pipelineFunc) pipelineFunc {
-	if stage == nil {
-		return func(ctx context.Context, st *execState) (*ExecResult, error) {
+// pipeline is the canonical stack composed into one call chain, once per
+// process: every stage binds to the database's currently configured
+// governor, injector, and observatory when the query enters it, so the
+// chain holds no per-database state.
+var pipeline = compose()
+
+// compose wraps each stage, innermost first, around the continuation
+// below it. A stage whose predicate is false hands the state straight to
+// next. Otherwise the disabled-tracing branch is one pointer comparison
+// and no calls, preserving the 0-allocs/op dispatch
+// BenchmarkExecPipelineOverhead pins; the enabled branch opens one stage
+// span, threads it through st.span as the parent for everything the
+// stage does, and closes it on the way out — wrapper depth mirrors stack
+// order, so a trace *is* the pipeline made visible.
+func compose() pipelineFunc {
+	var next pipelineFunc
+	for i := len(stages) - 1; i >= 0; i-- {
+		s, inner := stages[i], next
+		next = func(ctx context.Context, st *execState) (*ExecResult, error) {
+			if st.on&s.when != s.when {
+				return inner(ctx, st)
+			}
 			if st.trace == nil {
-				return next(ctx, st)
+				return s.fn(ctx, st, inner)
 			}
 			parent := st.span
-			st.span = st.trace.Start(parent, name, obs.SpanStage)
-			res, err := next(ctx, st)
+			st.span = st.trace.Start(parent, s.name, obs.SpanStage)
+			res, err := s.fn(ctx, st, inner)
 			st.span.End()
 			st.span = parent
 			return res, err
 		}
 	}
-	return func(ctx context.Context, st *execState) (*ExecResult, error) {
-		if st.trace == nil {
-			return stage(ctx, st, next)
-		}
-		parent := st.span
-		st.span = st.trace.Start(parent, name, obs.SpanStage)
-		res, err := stage(ctx, st, next)
-		st.span.End()
-		st.span = parent
-		return res, err
-	}
+	return next
 }
 
-// mustPipeline compiles one of the Database's own stacks; these are
-// program constants, so failure is a programming error.
-func mustPipeline(kinds ...stageKind) *pipeline {
-	p, err := compilePipeline(kinds...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// exec runs the compiled stack over the state, unwrapping stage-internal
-// abort markers before the caller sees the error. This is the tracer's
-// single construction point (the lint gate pins obs.NewTrace here and in
+// exec runs the stack over the state, unwrapping stage-internal abort
+// markers before the caller sees the error. This is the tracer's single
+// construction point (the lint gate pins obs.NewTrace here and in
 // internal/obs): when tracing is on — database-wide via EnableTracing or
 // per query via ExecOptions.Trace — the query gets a deterministic trace
 // ID, every stage below builds the span tree, and the finished record is
 // attached to the result and folded into the observatory's /traces ring.
-func (p *pipeline) exec(ctx context.Context, st *execState) (*ExecResult, error) {
+func (st *execState) exec(ctx context.Context) (*ExecResult, error) {
 	if st.traceOn || st.db.tracing.Load() {
 		st.trace = obs.NewTrace(st.db.nextTraceID())
 	}
-	res, err := p.fn(ctx, st)
+	res, err := pipeline(ctx, st)
 	if err != nil {
 		var abort *stageAbort
 		if errors.As(err, &abort) {
@@ -399,72 +286,15 @@ func (p *pipeline) exec(ctx context.Context, st *execState) (*ExecResult, error)
 	return res, err
 }
 
-// stageOf maps a kind to its implementation.
-func stageOf(k stageKind) stageFunc {
-	switch k {
-	case stageRecord:
-		return recordStage
-	case stageAdmit:
-		return admitStage
-	case stageGrant:
-		return grantStage
-	case stageBreaker:
-		return breakerStage
-	case stageRetry:
-		return retryStage
-	case stageDegrade:
-		return degradeStage
-	case stageReopt:
-		return reoptStage
-	case stageActivate:
-		return activateStage
-	default:
-		panic(fmt.Sprintf("dynplan: stage %v has no implementation", k))
-	}
-}
-
-// pipelines holds the Database's pre-compiled stage stacks, assembled
-// once at OpenDatabase. The stacks are fixed; each stage binds to the
-// database's currently configured governor, injector, and observatory
-// when the query enters it, so installing a governor never recompiles.
-type pipelines struct {
-	// plain: Record→Run — a pre-resolved plan, no governance.
-	plain *pipeline
-	// governedPlain: Record→Admit→Grant→Run — a pre-resolved plan behind
-	// admission control.
-	governedPlain *pipeline
-	// activate: Record→Activate→Run — one activation of a module, no
-	// retries.
-	activate *pipeline
-	// governedActivate: Record→Admit→Grant→Activate→Run — the grant
-	// feeds choose-plan resolution, without the fallback executor.
-	governedActivate *pipeline
-	// resilient: Record→Breaker→Retry→Activate→Run — the retrying
-	// fallback executor.
-	resilient *pipeline
-	// governed: the full stack.
-	governed *pipeline
-
-	// The reopt variants insert the Reopt stage into each base stack;
-	// ExecOptions.Reopt selects them. Kept as separate compiled stacks so
-	// the no-reopt paths stay byte-for-byte what they were.
-	plainReopt            *pipeline
-	governedPlainReopt    *pipeline
-	activateReopt         *pipeline
-	governedActivateReopt *pipeline
-	resilientReopt        *pipeline
-	governedReopt         *pipeline
-}
-
 // defaultPlanCacheCapacity bounds the shared plan cache; prepared
 // statements beyond it evict least-recently-used compiled modules.
 const defaultPlanCacheCapacity = 64
 
-// newPlanCache assembles the database's shared plan cache alongside its
-// stage stacks — the single construction point (the CI lint gate pins
-// plancache.New here and inside internal/plancache), so exactly one
-// cache exists per database. The cache mirrors its hit/miss/eviction
-// counters into the observatory registry whenever one is enabled.
+// newPlanCache assembles the database's shared plan cache — the single
+// construction point (the CI lint gate pins plancache.New here and inside
+// internal/plancache), so exactly one cache exists per database. The
+// cache mirrors its hit/miss/eviction counters into the observatory
+// registry whenever one is enabled.
 func newPlanCache(db *Database, capacity int) *plancache.Cache {
 	c := plancache.New(capacity)
 	c.SetObserver(func(hits, misses, evictions uint64) {
@@ -477,30 +307,8 @@ func newPlanCache(db *Database, capacity int) *plancache.Cache {
 	return c
 }
 
-func newPipelines() *pipelines {
-	// Every stack carries the Degrade stage: it is a pass-through branch
-	// for serial executions, and parallelism is an ExecOptions bit rather
-	// than a stack choice, so the ladder must be present wherever a
-	// parallel execution might run.
-	return &pipelines{
-		plain:            mustPipeline(stageRecord, stageDegrade, stageRun),
-		governedPlain:    mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageRun),
-		activate:         mustPipeline(stageRecord, stageDegrade, stageActivate, stageRun),
-		governedActivate: mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageActivate, stageRun),
-		resilient:        mustPipeline(stageRecord, stageBreaker, stageRetry, stageDegrade, stageActivate, stageRun),
-		governed:         mustPipeline(stageRecord, stageAdmit, stageGrant, stageBreaker, stageRetry, stageDegrade, stageActivate, stageRun),
-
-		plainReopt:            mustPipeline(stageRecord, stageDegrade, stageReopt, stageRun),
-		governedPlainReopt:    mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageReopt, stageRun),
-		activateReopt:         mustPipeline(stageRecord, stageDegrade, stageReopt, stageActivate, stageRun),
-		governedActivateReopt: mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageReopt, stageActivate, stageRun),
-		resilientReopt:        mustPipeline(stageRecord, stageBreaker, stageRetry, stageDegrade, stageReopt, stageActivate, stageRun),
-		governedReopt:         mustPipeline(stageRecord, stageAdmit, stageGrant, stageBreaker, stageRetry, stageDegrade, stageReopt, stageActivate, stageRun),
-	}
-}
-
 // recordStage is the single outermost stage: one query-level sample and
-// one run record per query, whatever stack ran below it. Sheds (the
+// one run record per query, whatever stages ran below it. Sheds (the
 // governor refused the query, so it never started) count apart from
 // query errors. When the observatory is disabled the stage is one pointer
 // comparison.
@@ -542,7 +350,7 @@ func recordStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 
 // admitStage claims an execution slot from the governor; without an
 // installed governor the stage (and its Grant partner) pass through, so
-// governed stacks degrade to their ungoverned shape unchanged. The
+// a governed query runs as an ungoverned one would. The
 // governor is snapshotted once, so a concurrent ClearGovernor cannot
 // split the Admit/Grant pair across two governors.
 func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
@@ -816,9 +624,6 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 // Finish. Non-violation errors pass through untouched, so the Retry stage
 // above keeps its classification authority.
 func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.reopt == nil {
-		return next(ctx, st)
-	}
 	// A previous controller (an earlier retry attempt) may have left a
 	// re-planned or degraded root referencing temporaries it released;
 	// re-entering Activate below re-resolves the module onto live state.
@@ -915,9 +720,9 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 // when the circuit breaker alone leaves none, the query fails fast with
 // ErrCircuitOpen rather than re-probing a poisoned access path.
 func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.module == nil || st.skipActivate {
-		// skipActivate: the Reopt stage installed a re-planned or degraded
-		// root that is already resolved; activation would overwrite it.
+	if st.skipActivate {
+		// The Reopt stage installed a re-planned or degraded root that is
+		// already resolved; activation would overwrite it.
 		return next(ctx, st)
 	}
 	opts := plan.StartupOptions{Params: st.db.sys.params, Usage: st.module.stats}
@@ -983,6 +788,12 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 		res.Decisions = rep.Trace
 	}
 	return res, err
+}
+
+// runStage is the innermost stage: it hands the resolved plan to the
+// terminal executor; there is no next.
+func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, error) {
+	return st.run(ctx, st)
 }
 
 // runStatic is the terminal executor for resolved plans: it compiles the

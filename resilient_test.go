@@ -111,7 +111,7 @@ func TestResilientFaultEquivalence(t *testing.T) {
 		db := resilDatabase(t, sys)
 		b := resilBindings(n, 0.5, 64)
 
-		clean, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{})
+		clean, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true})
 		if err != nil {
 			t.Fatalf("n=%d: fault-free run failed: %v", n, err)
 		}
@@ -122,7 +122,7 @@ func TestResilientFaultEquivalence(t *testing.T) {
 		db.InjectFaults(FaultConfig{Seed: 42, TransientRate: 0.10})
 		// Each retry heals exactly the transient page it tripped on, so
 		// recovery needs about as many attempts as there are faulty pages.
-		faulty, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{MaxAttempts: 100})
+		faulty, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: 100}})
 		if err != nil {
 			t.Fatalf("n=%d: resilient run did not recover: %v", n, err)
 		}
@@ -147,9 +147,8 @@ func TestResilientFaultEquivalence(t *testing.T) {
 	}
 }
 
-// TestCanceledContextAllEntryPoints verifies every context-taking
-// execution entry point fails fast with ErrCanceled on a canceled
-// context.
+// TestCanceledContextAllEntryPoints verifies Exec fails fast with
+// ErrCanceled on a canceled context, for every kind of query target.
 func TestCanceledContextAllEntryPoints(t *testing.T) {
 	sys, q := resilChainSystem(t, 2)
 	static, err := sys.OptimizeStatic(q)
@@ -175,24 +174,24 @@ func TestCanceledContextAllEntryPoints(t *testing.T) {
 	cancel()
 
 	entries := map[string]func() error{
-		"ExecuteContext": func() error {
-			_, err := db.ExecuteContext(ctx, static.Root(), b)
+		"node": func() error {
+			_, err := db.Exec(ctx, static.Root(), b, ExecOptions{})
 			return err
 		},
-		"ExecutePlanContext": func() error {
-			_, err := db.ExecutePlanContext(ctx, static, b)
+		"static-plan": func() error {
+			_, err := db.Exec(ctx, static, b, ExecOptions{})
 			return err
 		},
-		"ExecuteActivationContext": func() error {
-			_, err := db.ExecuteActivationContext(ctx, act, b)
+		"activation": func() error {
+			_, err := db.Exec(ctx, act, b, ExecOptions{})
 			return err
 		},
-		"ExecuteAdaptiveContext": func() error {
-			_, err := db.ExecuteAdaptiveContext(ctx, dyn, b)
+		"adaptive-plan": func() error {
+			_, err := db.Exec(ctx, dyn, b, ExecOptions{Adaptive: true})
 			return err
 		},
-		"ExecuteResilient": func() error {
-			_, err := db.ExecuteResilient(ctx, mod, b, RetryPolicy{})
+		"resilient-module": func() error {
+			_, err := db.Exec(ctx, mod, b, ExecOptions{Resilient: true})
 			return err
 		},
 	}
@@ -230,7 +229,7 @@ func TestResilientMemoryShrink(t *testing.T) {
 	db := resilDatabase(t, sys)
 	b := resilBindings(n, 0.9, 128)
 
-	clean, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{})
+	clean, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func TestResilientMemoryShrink(t *testing.T) {
 	}
 
 	db.InjectFaults(FaultConfig{Seed: 5, MemShrinkAfterReads: 1, MemShrinkFactor: 0.01})
-	res, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{})
+	res, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true})
 	if err != nil {
 		t.Fatalf("resilient run did not survive the shrink event: %v", err)
 	}
@@ -276,8 +275,7 @@ func TestResilientPermanentFaultGivesUp(t *testing.T) {
 	}
 	db := resilDatabase(t, sys)
 	db.InjectFaults(FaultConfig{Seed: 9, PermanentRate: 0.9})
-	_, err = db.ExecuteResilient(context.Background(), mod, resilBindings(2, 0.5, 64),
-		RetryPolicy{MaxAttempts: 3})
+	_, err = db.Exec(context.Background(), mod, resilBindings(2, 0.5, 64), ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: 3}})
 	if err == nil {
 		t.Fatal("expected permanent faults to defeat the executor")
 	}
@@ -311,7 +309,7 @@ func TestAbsorbedFaultsMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.InjectFaults(FaultConfig{Seed: 21, TransientRate: 0.25, ReadRetries: 4})
-	res, err := db.ExecuteActivationContext(context.Background(), act, b)
+	res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatalf("in-place retries should have absorbed every transient fault: %v", err)
 	}
